@@ -8,10 +8,12 @@ import (
 	"repro/internal/workloads"
 )
 
-// Ablation benchmarks quantify the design choices DESIGN.md §6 calls out.
-// Each sub-benchmark runs a full simulation per iteration and reports the
-// simulated execution time, so the effect of the knob is visible directly
-// in the metric column.
+// Ablation benchmarks vary one model knob at a time — memory-level
+// parallelism, L1 set count, FR-FCFS depth, the PCby bypass threshold,
+// the rinser's dirty-row capacity, and the channel interleave — on a
+// workload that is sensitive to it. Each sub-benchmark runs a full
+// simulation per iteration and reports the simulated execution time, so
+// the effect of the knob is visible directly in the metric column.
 
 func ablate(b *testing.B, cfg core.Config, workload, variant string) {
 	b.Helper()

@@ -1,6 +1,8 @@
 // Package repro_test is the benchmark harness: one benchmark per paper
 // table and figure (Tables 1–2, Figures 4–13), plus ablation benchmarks
-// for the design choices called out in DESIGN.md §6.
+// that vary one model knob at a time (memory-level parallelism, L1 set
+// count, FR-FCFS depth, PCby threshold, rinser capacity, channel
+// interleave) and report the simulated execution time.
 //
 // The figure benchmarks share two simulation matrices (static policies
 // and the full variant set) computed once per `go test -bench` process at
@@ -404,10 +406,11 @@ func BenchmarkSystemResetRun(b *testing.B) {
 	}
 }
 
-// --- Single-cell benchmarks (intra-cell parallelism) ---
+// --- Single-cell benchmarks ---
 
 // BenchmarkRunOneCell pins the cost of one hot simulation cell — the
-// unit the partitioned engine tries to speed up. Two sizes: the paper's
+// latency a single-cell request (micache -workload, micached /run miss)
+// pays on a warm system. Two sizes: the paper's
 // CM workload at scale 0.3 on the full Table 1 machine (the realistic
 // hot cell; CM's conv GEMM dims are scale-insensitive, so it stays a
 // multi-second cell), and a CI-sized FwSoft cell on the reduced bench
@@ -437,40 +440,6 @@ func BenchmarkRunOneCell(b *testing.B) {
 			}
 			w := spec.Build(tc.scale)
 			sys.Run(w) // warm capacities so the loop is steady-state
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Reset()
-				if _, err := sys.Run(w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRunOneCellWorkers runs the CI-sized cell under CellWorkers ∈
-// {1, 2, 4} for a direct sequential-vs-partitioned comparison. Note the
-// current partitioned engine fires events in exact global order (the
-// byte-identity contract), so workers > 1 measures rotation overhead,
-// not speedup — see the intra-cell parallelism section in README.md.
-func BenchmarkRunOneCellWorkers(b *testing.B) {
-	spec, err := workloads.ByName("FwSoft")
-	if err != nil {
-		b.Fatal(err)
-	}
-	v, err := core.VariantByLabel("CacheRW")
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := spec.Build(benchScale)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			sys, err := core.NewSystemWorkers(benchConfig(), v, workers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.Run(w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

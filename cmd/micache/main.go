@@ -57,7 +57,6 @@ func run(args []string) error {
 		replay   = fs.String("replay", "", "replay a recorded trace under -policy (trace-driven mode)")
 		window   = fs.Int("window", 64, "outstanding-request window for -replay (0 = timed replay)")
 		workers  = fs.Int("workers", 0, "concurrent simulations for matrix runs (0 = GOMAXPROCS, 1 = sequential)")
-		cellW    = fs.Int("cell-workers", 1, "intra-cell partitioned-execution workers per simulation (1 = sequential engine)")
 		quiet    = fs.Bool("quiet", false, "suppress progress output on stderr")
 		timeout  = fs.Duration("timeout", 0, "wall-clock budget per simulation (0 = unlimited)")
 		maxEv    = fs.Uint64("max-events", 0, "event budget per simulation (0 = unlimited)")
@@ -70,9 +69,6 @@ func run(args []string) error {
 	// workload to empty kernels; reject it before anything runs.
 	if !(*scale > 0) || math.IsInf(*scale, 0) {
 		return fmt.Errorf("-scale must be positive and finite, got %g", *scale)
-	}
-	if *cellW < 1 || *cellW > core.MaxCellWorkers {
-		return fmt.Errorf("-cell-workers must be in 1..%d, got %d", core.MaxCellWorkers, *cellW)
 	}
 	if *workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = GOMAXPROCS), got %d", *workers)
@@ -141,13 +137,13 @@ func run(args []string) error {
 	case *replay != "":
 		return runReplay(cfg, *replay, *variant, *window)
 	case *workload != "":
-		return runSingle(cfg, *workload, *variant, sc, *record, budgets, *cellW, store)
+		return runSingle(cfg, *workload, *variant, sc, *record, budgets, store)
 	case *figure != 0:
-		return runFigures(cfg, []int{*figure}, sc, *csv, *workers, *cellW, *quiet, budgets, store)
+		return runFigures(cfg, []int{*figure}, sc, *csv, *workers, *quiet, budgets, store)
 	case *all:
 		report.RenderTable1(out, cfg)
 		report.RenderTable2(out, sc)
-		return runFigures(cfg, []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, sc, *csv, *workers, *cellW, *quiet, budgets, store)
+		return runFigures(cfg, []int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, sc, *csv, *workers, *quiet, budgets, store)
 	default:
 		fs.Usage()
 		return fmt.Errorf("nothing to do: pass -all, -table, -figure or -workload")
@@ -181,10 +177,9 @@ func lookupVariant(label string) (core.Variant, error) {
 
 // runSingle runs one workload under one variant and prints full stats;
 // with recordPath it also captures and writes the memory trace (the
-// recording path ignores budgets, cell workers, and the cache — a
-// trace must be complete or absent, and recording hooks the sequential
-// engine).
-func runSingle(cfg core.Config, name, label string, sc workloads.Scale, recordPath string, b core.Budgets, cellWorkers int, store *persist.Store) error {
+// recording path ignores budgets and the cache — a trace must be
+// complete or absent).
+func runSingle(cfg core.Config, name, label string, sc workloads.Scale, recordPath string, b core.Budgets, store *persist.Store) error {
 	spec, err := workloads.ByName(name)
 	if err != nil {
 		return fmt.Errorf("unknown workload %q (valid: %s)", name, workloadNames())
@@ -222,7 +217,7 @@ func runSingle(cfg core.Config, name, label string, sc workloads.Scale, recordPa
 		}
 		fmt.Fprintf(os.Stderr, "recorded %d events to %s\n", len(tr.Events), recordPath)
 	} else {
-		r, err = core.RunOneWorkers(cfg, v, spec, sc, b, cellWorkers)
+		r, err = core.RunOneWith(cfg, v, spec, sc, b)
 		if err != nil {
 			return err
 		}
@@ -309,7 +304,7 @@ func runReplay(cfg core.Config, path, label string, window int) error {
 // store, cells already on disk are served without simulating and fresh
 // cells are persisted, so re-rendering figures after an interrupted
 // sweep only pays for the missing cells.
-func runFigures(cfg core.Config, figs []int, sc workloads.Scale, csv bool, workers, cellWorkers int, quiet bool, b core.Budgets, store *persist.Store) error {
+func runFigures(cfg core.Config, figs []int, sc workloads.Scale, csv bool, workers int, quiet bool, b core.Budgets, store *persist.Store) error {
 	specs := workloads.All()
 	figMap := report.Figures(cfg.GPUClockMHz)
 	sort.Ints(figs)
@@ -344,7 +339,6 @@ func runFigures(cfg core.Config, figs []int, sc workloads.Scale, csv bool, worke
 	start := time.Now()
 	opts := core.RunMatrixOpts{
 		Workers:          workers,
-		CellWorkers:      cellWorkers,
 		CellTimeout:      b.Timeout,
 		MaxEventsPerCell: b.MaxEvents,
 	}

@@ -82,10 +82,10 @@ func TestCacheHitServesWithoutPool(t *testing.T) {
 	}
 }
 
-// TestCacheKeyExcludesCellWorkers pins the canonicalization rule:
-// partitioned execution is byte-identical to sequential by contract, so
-// a sequential run's cache line serves a cell_workers request too.
-func TestCacheKeyExcludesCellWorkers(t *testing.T) {
+// TestCacheKeyCanonicalTopology pins the canonicalization rule: the
+// topology is keyed after WithDefaults, so an explicit spelling of the
+// default topology hits the default request's cache line.
+func TestCacheKeyCanonicalTopology(t *testing.T) {
 	srv := cacheTestServer(serverOpts{Queue: 4})
 	ts := httptest.NewServer(srv.routes())
 	defer ts.Close()
@@ -94,16 +94,11 @@ func TestCacheKeyExcludesCellWorkers(t *testing.T) {
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("seed run = %d (%s)", resp1.StatusCode, body1)
 	}
-	resp2, body2 := postRun(t, ts, `{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"cell_workers":2}`)
+	resp2, body2 := postRun(t, ts, `{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"tiles":1,"topology":"direct"}`)
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("partitioned run = %d (%s)", resp2.StatusCode, body2)
+		t.Fatalf("tiles:1/direct run = %d (%s)", resp2.StatusCode, body2)
 	}
 	if h := resp2.Header.Get("X-Micached-Cache"); h != "hit" {
-		t.Fatalf("cell_workers=2 X-Micached-Cache = %q, want hit (key must not include cell_workers)", h)
-	}
-	// The default topology collides with an explicit equivalent spelling.
-	resp3, _ := postRun(t, ts, `{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"tiles":1,"topology":"direct"}`)
-	if h := resp3.Header.Get("X-Micached-Cache"); h != "hit" {
 		t.Fatalf("tiles:1/direct X-Micached-Cache = %q, want hit (WithDefaults canonicalization)", h)
 	}
 }

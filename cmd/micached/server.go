@@ -201,26 +201,18 @@ type runRequest struct {
 	// per request; the default (0 / "") keeps the pooled fast path.
 	Tiles    int    `json:"tiles,omitempty"`
 	Topology string `json:"topology,omitempty"`
-	// CellWorkers selects partitioned intra-cell execution (see
-	// core.NewSystemWorkers). 0 defaults to 1 (the sequential engine and
-	// the warm pool); values above 1 run on a fresh partitioned system,
-	// whose results are byte-identical to sequential by contract.
-	CellWorkers int `json:"cell_workers,omitempty"`
 }
 
 type runResponse struct {
-	Workload string  `json:"workload"`
-	Variant  string  `json:"variant"`
-	Scale    float64 `json:"scale"`
-	Tiles    int     `json:"tiles,omitempty"`
-	Topology string  `json:"topology,omitempty"`
-	// CellWorkers echoes the resolved intra-cell worker count the run
-	// actually used (1 when the request omitted it).
-	CellWorkers int            `json:"cell_workers"`
-	ElapsedMS   float64        `json:"elapsed_ms"`
-	GVOPS       float64        `json:"gvops"`
-	GMRs        float64        `json:"gmrs"`
-	Snapshot    stats.Snapshot `json:"snapshot"`
+	Workload  string         `json:"workload"`
+	Variant   string         `json:"variant"`
+	Scale     float64        `json:"scale"`
+	Tiles     int            `json:"tiles,omitempty"`
+	Topology  string         `json:"topology,omitempty"`
+	ElapsedMS float64        `json:"elapsed_ms"`
+	GVOPS     float64        `json:"gvops"`
+	GMRs      float64        `json:"gmrs"`
+	Snapshot  stats.Snapshot `json:"snapshot"`
 }
 
 type errResponse struct {
@@ -254,9 +246,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Cache keys come from core.CellKey — the schema shared with
 // micache's -cache-dir store, covering the simulator fingerprint
 // (deploy invalidation), the request tuple, and the resolved topology.
-// cell_workers is deliberately excluded: partitioned runs are
-// byte-identical to sequential by contract (the partition differential
-// tests pin it), so every worker count shares one cache line.
 
 // admit reserves a worker slot, waiting in the bounded queue when the
 // workers are busy. It reports false after writing the refusal (429) or
@@ -331,15 +320,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Error: fmt.Sprintf("scale must be in (0, %g], got %g", s.maxScale, req.Scale)})
 		return
 	}
-	cellWorkers := req.CellWorkers
-	if cellWorkers == 0 {
-		cellWorkers = 1
-	}
-	if cellWorkers < 1 || cellWorkers > core.MaxCellWorkers {
-		writeJSON(w, http.StatusBadRequest, errResponse{
-			Error: fmt.Sprintf("cell_workers must be in 1..%d, got %d", core.MaxCellWorkers, req.CellWorkers)})
-		return
-	}
 	// An off-default topology reshapes the whole hierarchy, so it cannot
 	// reuse pooled systems; validate the derived config now (client
 	// error) and build fresh after admission.
@@ -385,7 +365,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		for {
 			snap, hit, f, leader := s.cache.Acquire(key)
 			if hit {
-				s.writeRunResponse(w, req, cfg, topoCustom, cellWorkers, snap, 0, "hit")
+				s.writeRunResponse(w, req, cfg, topoCustom, snap, 0, "hit")
 				return
 			}
 			if leader {
@@ -394,7 +374,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 			snap, err := f.Wait(r.Context())
 			if err == nil {
-				s.writeRunResponse(w, req, cfg, topoCustom, cellWorkers, snap, 0, "hit")
+				s.writeRunResponse(w, req, cfg, topoCustom, snap, 0, "hit")
 				return
 			}
 			if r.Context().Err() != nil {
@@ -429,13 +409,9 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	// A partitioned run (cell_workers > 1) also builds fresh: the warm
-	// pool holds sequential systems, and the two wirings are not
-	// interchangeable after construction.
 	var sys *core.System
-	freshSystem := topoCustom || cellWorkers > 1
-	if freshSystem {
-		sys, err = core.NewSystemWorkers(cfg, v, cellWorkers)
+	if topoCustom {
+		sys, err = core.NewSystem(cfg, v)
 	} else {
 		sys, err = s.pool.Get(v)
 	}
@@ -475,13 +451,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.log.Error("run panicked", "workload", req.Workload, "variant", req.Variant, "err", runErr)
 		writeJSON(w, http.StatusInternalServerError, errResponse{Error: runErr.Error()})
 	case runErr == nil:
-		if !freshSystem {
+		if !topoCustom {
 			s.pool.Put(sys)
 		}
 		s.quar.recordHealthy(qkey)
 		s.observeWall(elapsed)
 		finish(snap, nil)
-		s.writeRunResponse(w, req, cfg, topoCustom, cellWorkers, snap, elapsed, "miss")
+		s.writeRunResponse(w, req, cfg, topoCustom, snap, elapsed, "miss")
 	default:
 		finish(stats.Snapshot{}, runErr)
 		var be *core.ErrBudgetExceeded
@@ -490,9 +466,9 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		case errors.As(runErr, &be):
 			// Interrupted, not broken: Put resets the system, and the
 			// chaos tests pin that reset-after-interrupt ≡ fresh.
-			// Off-default topologies and partitioned systems were never
-			// pooled; let the GC take them.
-			if !freshSystem {
+			// Off-default topologies were never pooled; let the GC take
+			// them.
+			if !topoCustom {
 				s.pool.Put(sys)
 			}
 			if errors.Is(runErr, context.Canceled) {
@@ -542,19 +518,18 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 // or "miss"; the X-Micached-Cache header is only sent when caching is
 // enabled, so its presence always means the cache was consulted.
 func (s *server) writeRunResponse(w http.ResponseWriter, req runRequest, cfg core.Config,
-	topoCustom bool, cellWorkers int, snap stats.Snapshot, elapsed time.Duration, source string) {
+	topoCustom bool, snap stats.Snapshot, elapsed time.Duration, source string) {
 	if s.cache != nil {
 		w.Header().Set("X-Micached-Cache", source)
 	}
 	resp := runResponse{
-		Workload:    req.Workload,
-		Variant:     req.Variant,
-		Scale:       req.Scale,
-		CellWorkers: cellWorkers,
-		ElapsedMS:   elapsed.Seconds() * 1e3,
-		GVOPS:       snap.GVOPS(s.cfg.GPUClockMHz),
-		GMRs:        snap.GMRs(s.cfg.GPUClockMHz),
-		Snapshot:    snap,
+		Workload:  req.Workload,
+		Variant:   req.Variant,
+		Scale:     req.Scale,
+		ElapsedMS: elapsed.Seconds() * 1e3,
+		GVOPS:     snap.GVOPS(s.cfg.GPUClockMHz),
+		GMRs:      snap.GMRs(s.cfg.GPUClockMHz),
+		Snapshot:  snap,
 	}
 	if topoCustom {
 		t := cfg.Topology.WithDefaults()

@@ -114,6 +114,7 @@ func TestRequestValidation(t *testing.T) {
 		{"negative scale", `{"workload":"FwSoft","variant":"CacheRW","scale":-1}`, http.StatusBadRequest},
 		{"scale above cap", `{"workload":"FwSoft","variant":"CacheRW","scale":0.75}`, http.StatusBadRequest},
 		{"unknown field", `{"workload":"FwSoft","variant":"CacheRW","bogus":1}`, http.StatusBadRequest},
+		{"removed cell_workers field", `{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"cell_workers":2}`, http.StatusBadRequest},
 		{"not json", `hello`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -180,85 +181,6 @@ func TestRunEndpointTopology(t *testing.T) {
 	// Off-default topologies must not consume or seed the warm pool.
 	if built, reused := srv.pool.Counts(); built != 0 || reused != 0 {
 		t.Fatalf("topology request touched the pool: built=%d reused=%d", built, reused)
-	}
-}
-
-// TestRunEndpointCellWorkers runs a partitioned request end-to-end: the
-// snapshot must be byte-identical to a direct sequential run (the
-// partitioned engine's core contract), the response must echo the
-// resolved worker count, and — since the warm pool holds sequential
-// systems — the request must never touch the pool.
-func TestRunEndpointCellWorkers(t *testing.T) {
-	srv := testServer(serverOpts{Queue: 4})
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
-
-	resp, body := postRun(t, ts,
-		`{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"cell_workers":3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body = %s", resp.StatusCode, body)
-	}
-	var rr runResponse
-	if err := json.Unmarshal(body, &rr); err != nil {
-		t.Fatalf("bad response JSON: %v\n%s", err, body)
-	}
-	if rr.CellWorkers != 3 {
-		t.Fatalf("response echoes cell_workers=%d, want 3", rr.CellWorkers)
-	}
-
-	spec, err := workloads.ByName("FwSoft")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := core.VariantByLabel("CacheRW")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := core.RunOne(testServerConfig(), v, spec, workloads.Scale(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rr.Snapshot.Equal(r.Snap) {
-		t.Fatalf("served partitioned snapshot differs from direct sequential run:\nserved: %+v\ndirect: %+v",
-			rr.Snapshot, r.Snap)
-	}
-	if built, reused := srv.pool.Counts(); built != 0 || reused != 0 {
-		t.Fatalf("cell_workers request touched the pool: built=%d reused=%d", built, reused)
-	}
-
-	// An omitted or zero cell_workers resolves to 1 and stays pooled.
-	resp2, body2 := postRun(t, ts, `{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"cell_workers":0}`)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("cell_workers=0 status = %d, body = %s", resp2.StatusCode, body2)
-	}
-	var rr2 runResponse
-	if err := json.Unmarshal(body2, &rr2); err != nil {
-		t.Fatal(err)
-	}
-	if rr2.CellWorkers != 1 {
-		t.Fatalf("cell_workers=0 resolved to %d, want 1", rr2.CellWorkers)
-	}
-	if built, _ := srv.pool.Counts(); built != 1 {
-		t.Fatalf("default cell_workers bypassed the pool: built=%d, want 1", built)
-	}
-
-	// Out-of-range values are client errors, and the 400 body states the
-	// valid bounds.
-	for _, bad := range []string{
-		`{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"cell_workers":-1}`,
-		fmt.Sprintf(`{"workload":"FwSoft","variant":"CacheRW","scale":0.05,"cell_workers":%d}`, core.MaxCellWorkers+1),
-	} {
-		resp, body := postRun(t, ts, bad)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400 (body %s)", bad, resp.StatusCode, body)
-		}
-		var er errResponse
-		if err := json.Unmarshal(body, &er); err != nil {
-			t.Fatalf("bad error JSON: %v\n%s", err, body)
-		}
-		if !strings.Contains(er.Error, fmt.Sprintf("1..%d", core.MaxCellWorkers)) {
-			t.Fatalf("400 body %q does not state the valid cell_workers range", er.Error)
-		}
 	}
 }
 

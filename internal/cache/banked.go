@@ -94,11 +94,6 @@ func (b *Banked) Stats() stats.CacheStats {
 // Banks exposes the underlying banks (tests and the harness's debugging).
 func (b *Banked) Banks() []*Cache { return b.banks }
 
-// BoundaryLatency declares the banked cache's minimum Submit-to-lower
-// delay: all banks share one geometry, so any bank's bound is the
-// whole cache's (see Cache.BoundaryLatency).
-func (b *Banked) BoundaryLatency() event.Cycle { return b.banks[0].BoundaryLatency() }
-
 // DirtyLines sums dirty lines over banks.
 func (b *Banked) DirtyLines() int {
 	n := 0

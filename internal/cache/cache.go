@@ -293,14 +293,6 @@ func (c *Cache) Submit(req *mem.Request) {
 	c.try(c.getTxn(req))
 }
 
-// BoundaryLatency declares the minimum number of cycles between this
-// cache accepting a request (Submit) and presenting anything at its
-// lower port: every miss path pays at least the tag-lookup latency
-// before the forward queue drains downward. Partition builders use it
-// as a cut-edge latency bound when deriving a safe execution window
-// (see internal/event.SimGroup and the core partition runner).
-func (c *Cache) BoundaryLatency() event.Cycle { return c.cfg.LookupLatency }
-
 // getTxn recycles a transaction wrapper from the free list.
 func (c *Cache) getTxn(req *mem.Request) *txn {
 	if n := len(c.txnFree); n > 0 {

@@ -91,13 +91,6 @@ func NewDirectory(sim *event.Sim, lower cache.Port, latency event.Cycle) *Direct
 	return d
 }
 
-// BoundaryLatency declares the minimum delay between the directory
-// accepting a request and presenting it at its lower port — the fabric
-// hop latency. Zero means the hand-off is synchronous (no cut-edge
-// slack at all); partition builders must ignore a zero bound rather
-// than treat it as lookahead.
-func (d *Directory) BoundaryLatency() event.Cycle { return d.latency }
-
 // Submit implements cache.Port.
 func (d *Directory) Submit(req *mem.Request) {
 	d.Requests++

@@ -172,13 +172,10 @@ type budgetRunner struct {
 
 // poll is the engine stop condition: one comparison for the event
 // budget, one atomic store publishing progress, one atomic load checking
-// the monitor's verdict. It runs once per bucket drain (sequential) or
-// once per group clock advance (partitioned), between event callbacks,
-// on whichever goroutine is driving the simulation. On a partitioned
-// system the fired count sums every partition's engine, so MaxEvents
-// budgets a run's total work regardless of how it is partitioned.
+// the monitor's verdict. It runs once per bucket drain, between event
+// callbacks, on the goroutine driving the simulation.
 func (r *budgetRunner) poll() bool {
-	fired := r.sys.engineFired()
+	fired := r.sys.Sim.Fired()
 	if r.maxEvents > 0 && fired >= r.maxEvents {
 		r.reason = ReasonMaxEvents
 		return true
@@ -263,7 +260,7 @@ func (s *System) RunBudgeted(w workloads.Workload, b Budgets) (stats.Snapshot, e
 			return stats.Snapshot{}, &ErrBudgetExceeded{
 				Workload: name, Variant: s.Variant.Label,
 				Reason: ReasonCanceled, Cause: err,
-				Clock: s.clockNow(), Fired: s.engineFired(), Pending: s.enginePending(),
+				Clock: s.Sim.Now(), Fired: s.Sim.Fired(), Pending: s.Sim.Pending(),
 			}
 		}
 	}
@@ -286,26 +283,26 @@ func (s *System) RunBudgeted(w workloads.Workload, b Budgets) (stats.Snapshot, e
 			}
 			go r.monitor(done, ctxDone, b.Timeout, b.WatchdogInterval, b.OnStall, who)
 		}
-		s.setStop(r.poll)
-		defer s.setStop(nil)
+		s.Sim.SetStop(r.poll)
+		defer s.Sim.SetStop(nil)
 	}
 
 	finished := false
 	s.GPU.RunWorkload(w.Kernels, func() {
 		s.Engine.Finish(func() { finished = true })
 	})
-	s.runEngine()
+	s.Sim.Run()
 	if stopMonitor != nil {
 		stopMonitor()
 	}
 
-	if s.engineStopped() {
+	if s.Sim.Stopped() {
 		err := &ErrBudgetExceeded{
 			Workload: name, Variant: s.Variant.Label,
 			Reason:  r.reason,
-			Clock:   s.clockNow(),
-			Fired:   s.engineFired(),
-			Pending: s.enginePending(),
+			Clock:   s.Sim.Now(),
+			Fired:   s.Sim.Fired(),
+			Pending: s.Sim.Pending(),
 			Elapsed: time.Since(start),
 			Partial: s.Snapshot(w),
 		}
@@ -317,7 +314,7 @@ func (s *System) RunBudgeted(w workloads.Workload, b Budgets) (stats.Snapshot, e
 	if !finished {
 		return stats.Snapshot{}, &ErrDeadlock{
 			Workload: name, Variant: s.Variant.Label,
-			Clock: s.clockNow(), Fired: s.engineFired(), Pending: s.enginePending(),
+			Clock: s.Sim.Now(), Fired: s.Sim.Fired(), Pending: s.Sim.Pending(),
 		}
 	}
 	return s.Snapshot(w), nil

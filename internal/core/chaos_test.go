@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,59 +29,54 @@ func TestCancelAnywhereResetEquivalence(t *testing.T) {
 	const cutsPerVariant = 5
 	rng := rand.New(rand.NewSource(0x6d69636163686564)) // "micached"
 
-	// cellWorkers=1 is the original sequential contract; cellWorkers=3
-	// additionally chaoses the partitioned engine group — the MaxEvents
-	// budget then counts fired events summed across all partitions, and
-	// a cut can land with the in-flight state split between them.
-	for _, cellWorkers := range []int{1, 3} {
-		for _, v := range AllVariants() {
-			v := v
-			t.Run(fmt.Sprintf("%s/workers=%d", v.Label, cellWorkers), func(t *testing.T) {
-				sys, err := NewSystemWorkers(cfg, v, cellWorkers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := mustRun(t, sys, w)
-				total := sys.engineFired()
-				if total < 2 {
-					t.Fatalf("workload fired only %d events; chaos cuts need more", total)
-				}
+	// The "/workers=1" suffix keeps the subtest IDs stable.
+	for _, v := range AllVariants() {
+		v := v
+		t.Run(v.Label+"/workers=1", func(t *testing.T) {
+			sys, err := NewSystem(cfg, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := mustRun(t, sys, w)
+			total := sys.Sim.Fired()
+			if total < 2 {
+				t.Fatalf("workload fired only %d events; chaos cuts need more", total)
+			}
 
-				for i := 0; i < cutsPerVariant; i++ {
-					cut := 1 + uint64(rng.Int63n(int64(total)))
-					sys.Reset()
-					snap, rerr := sys.RunBudgeted(w, Budgets{MaxEvents: cut})
-					if rerr == nil {
-						// The poll granularity (one bucket drain) let the
-						// run finish before noticing a cut near the end;
-						// the result must then be the reference exactly.
-						if !snap.Equal(ref) {
-							t.Fatalf("cut=%d: uninterrupted completion differs from reference", cut)
-						}
-					} else {
-						var be *ErrBudgetExceeded
-						if !errors.As(rerr, &be) {
-							t.Fatalf("cut=%d: err = %v, want *ErrBudgetExceeded", cut, rerr)
-						}
-						if be.Fired < cut {
-							t.Fatalf("cut=%d: stopped after only %d events", cut, be.Fired)
-						}
-						if be.Fired > total {
-							t.Fatalf("cut=%d: error reports %d events fired but the whole run is %d: aggregate fired count overshot",
-								cut, be.Fired, total)
-						}
+			for i := 0; i < cutsPerVariant; i++ {
+				cut := 1 + uint64(rng.Int63n(int64(total)))
+				sys.Reset()
+				snap, rerr := sys.RunBudgeted(w, Budgets{MaxEvents: cut})
+				if rerr == nil {
+					// The poll granularity (one bucket drain) let the
+					// run finish before noticing a cut near the end;
+					// the result must then be the reference exactly.
+					if !snap.Equal(ref) {
+						t.Fatalf("cut=%d: uninterrupted completion differs from reference", cut)
 					}
-
-					// The re-pool contract: Reset after an interruption at
-					// ANY point restores byte-identical behavior.
-					sys.Reset()
-					got := mustRun(t, sys, w)
-					if !got.Equal(ref) {
-						t.Fatalf("cut=%d: rerun after interrupted run differs from fresh:\nfresh: %+v\nrerun: %+v",
-							cut, ref, got)
+				} else {
+					var be *ErrBudgetExceeded
+					if !errors.As(rerr, &be) {
+						t.Fatalf("cut=%d: err = %v, want *ErrBudgetExceeded", cut, rerr)
+					}
+					if be.Fired < cut {
+						t.Fatalf("cut=%d: stopped after only %d events", cut, be.Fired)
+					}
+					if be.Fired > total {
+						t.Fatalf("cut=%d: error reports %d events fired but the whole run is %d: aggregate fired count overshot",
+							cut, be.Fired, total)
 					}
 				}
-			})
-		}
+
+				// The re-pool contract: Reset after an interruption at
+				// ANY point restores byte-identical behavior.
+				sys.Reset()
+				got := mustRun(t, sys, w)
+				if !got.Equal(ref) {
+					t.Fatalf("cut=%d: rerun after interrupted run differs from fresh:\nfresh: %+v\nrerun: %+v",
+						cut, ref, got)
+				}
+			}
+		})
 	}
 }

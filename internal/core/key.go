@@ -32,10 +32,8 @@ func Fingerprint(cfg Config) string {
 // key schema shared by micached's result cache and micache's
 // -cache-dir store, so both binaries read and write the same entries.
 // It covers the fingerprint (deploy invalidation), the request tuple
-// (workload, variant, scale), and the resolved topology; cell_workers
-// is deliberately absent because partitioned execution is
-// byte-identical to sequential by contract, and the topology is keyed
-// after WithDefaults so equivalent spellings collide.
+// (workload, variant, scale), and the resolved topology; the topology
+// is keyed after WithDefaults so equivalent spellings collide.
 func CellKey(cfg Config, workload, variant string, scale float64) string {
 	t := cfg.Topology.WithDefaults()
 	return stats.CanonicalKey(

@@ -21,8 +21,7 @@ import (
 // changed after construction. The pool is safe for concurrent use by the
 // matrix worker pool; a Get/Put pair costs one mutex acquisition each.
 type SystemPool struct {
-	cfg         Config
-	cellWorkers int
+	cfg Config
 
 	mu   sync.Mutex
 	free map[Variant][]*System
@@ -38,17 +37,7 @@ type SystemPool struct {
 // NewSystemPool builds an empty pool whose systems use cfg. The
 // configuration is validated lazily by the first NewSystem call.
 func NewSystemPool(cfg Config) *SystemPool {
-	return NewSystemPoolWorkers(cfg, 1)
-}
-
-// NewSystemPoolWorkers is NewSystemPool for partitioned systems: every
-// pooled system is built with the given intra-cell worker count (see
-// NewSystemWorkers). cellWorkers <= 1 is exactly NewSystemPool.
-func NewSystemPoolWorkers(cfg Config, cellWorkers int) *SystemPool {
-	if cellWorkers < 1 {
-		cellWorkers = 1
-	}
-	return &SystemPool{cfg: cfg, cellWorkers: cellWorkers, free: make(map[Variant][]*System)}
+	return &SystemPool{cfg: cfg, free: make(map[Variant][]*System)}
 }
 
 // Config returns the configuration every pooled system was built with.
@@ -71,7 +60,7 @@ func (p *SystemPool) Get(v Variant) (*System, error) {
 	}
 	p.mu.Unlock()
 
-	s, err := NewSystemWorkers(p.cfg, v, p.cellWorkers)
+	s, err := NewSystem(p.cfg, v)
 	if err != nil {
 		return nil, err
 	}
@@ -85,9 +74,6 @@ func (p *SystemPool) Get(v Variant) (*System, error) {
 func (p *SystemPool) Put(s *System) {
 	if s.Cfg != p.cfg {
 		panic("core: SystemPool.Put of a system built with a different Config")
-	}
-	if s.CellWorkers != p.cellWorkers {
-		panic("core: SystemPool.Put of a system built with a different cell-worker count")
 	}
 	s.Reset()
 	p.mu.Lock()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
@@ -16,11 +18,14 @@ func TestProfileRun(t *testing.T) {
 	if env == "" {
 		t.Skip("set MICACHE_PROFILE=workload:variant:scale to run")
 	}
-	var name, label string
-	var scale float64
-	n, err := parseProfileEnv(env, &name, &label, &scale)
-	if err != nil || n != 3 {
+	parts := strings.Split(env, ":")
+	if len(parts) != 3 {
 		t.Fatalf("MICACHE_PROFILE=%q: want workload:variant:scale", env)
+	}
+	name, label := parts[0], parts[1]
+	scale, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil {
+		t.Fatalf("MICACHE_PROFILE=%q: want workload:variant:scale: %v", env, err)
 	}
 	spec, err := workloads.ByName(name)
 	if err != nil {
@@ -43,48 +48,4 @@ func TestProfileRun(t *testing.T) {
 	// MaxQueueLen is the pending-event high-water mark summed across the
 	// engine's wheel buckets and overflow heap (not a single heap length).
 	t.Logf("events fired=%d peak pending=%d", sys.Sim.Fired(), sys.Sim.MaxQueueLen())
-}
-
-func parseProfileEnv(env string, name, label *string, scale *float64) (int, error) {
-	parts := [3]string{}
-	i := 0
-	for _, r := range env {
-		if r == ':' {
-			i++
-			if i > 2 {
-				break
-			}
-			continue
-		}
-		parts[i] += string(r)
-	}
-	*name, *label = parts[0], parts[1]
-	var err error
-	*scale, err = parseFloat(parts[2])
-	if err != nil {
-		return 0, err
-	}
-	return i + 1, nil
-}
-
-func parseFloat(s string) (float64, error) {
-	var v float64
-	var frac float64 = 0.1
-	seenDot := false
-	for _, r := range s {
-		switch {
-		case r == '.':
-			seenDot = true
-		case r >= '0' && r <= '9':
-			if seenDot {
-				v += float64(r-'0') * frac
-				frac /= 10
-			} else {
-				v = v*10 + float64(r-'0')
-			}
-		default:
-			return 0, os.ErrInvalid
-		}
-	}
-	return v, nil
 }

@@ -49,17 +49,6 @@ type System struct {
 	Variant Variant
 
 	Sim *event.Sim
-	// Group, non-nil for a partitioned system (built by NewSystemWorkers
-	// with cellWorkers > 1), couples the per-partition engines; Sim then
-	// aliases the GPU front end's member engine and the group clock is
-	// the system clock. See internal/event.SimGroup.
-	Group *event.SimGroup
-	// CellWorkers is the resolved intra-cell worker count: 1 for a
-	// sequential system, the requested count for a partitioned one.
-	CellWorkers int
-	// window is the derived safe-horizon window (the minimum declared
-	// cut-edge latency) a partitioned run rotates execution in.
-	window event.Cycle
 
 	GPU   *gpu.GPU
 	Tiles []Tile
@@ -87,45 +76,25 @@ type hierarchy struct {
 	net   *noc.Network
 }
 
-// hierarchySims names the event engine each part of the machine
-// schedules on. A sequential system points every field at the one
-// shared Sim; a partitioned system (see NewSystemWorkers) gives the GPU
-// front end (CU shards, L1s, coherence engine), each tile's memory side
-// (L2 slice, HBM stack), and the interconnect+directory hub their own
-// keyed member of one event.SimGroup.
-type hierarchySims struct {
-	front *event.Sim   // GPU shards + L1s + coherence engine
-	mem   []*event.Sim // per-tile L2 and DRAM; len == tiles
-	hub   *event.Sim   // directory + NoC (mem[0] when single-tile)
-}
-
-// singleSims is the sequential wiring: every component on one engine.
-func singleSims(sim *event.Sim, tiles int) hierarchySims {
-	mem := make([]*event.Sim, tiles)
-	for i := range mem {
-		mem[i] = sim
-	}
-	return hierarchySims{front: sim, mem: mem, hub: sim}
-}
-
-// buildHierarchy wires the memory side for a validated config. The
-// single-tile path reproduces the pre-topology construction order
-// byte for byte and builds no network objects at all.
-func buildHierarchy(cfg *Config, v Variant, sims hierarchySims) *hierarchy {
+// buildHierarchy wires the memory side for a validated config, every
+// component scheduling on sim. The single-tile path reproduces the
+// pre-topology construction order byte for byte and builds no network
+// objects at all.
+func buildHierarchy(cfg *Config, v Variant, sim *event.Sim) *hierarchy {
 	topo := cfg.Topology.WithDefaults()
 	tiles := topo.Tiles
 	h := &hierarchy{tiles: make([]Tile, tiles)}
 
 	if tiles == 1 {
-		dctl := dram.New(cfg.DRAM, sims.mem[0])
-		dir := coherence.NewDirectory(sims.hub, dctl, cfg.DirectoryLatency)
+		dctl := dram.New(cfg.DRAM, sim)
+		dir := coherence.NewDirectory(sim, dctl, cfg.DirectoryLatency)
 		pred := policy.NewPCPredictor(cfg.Predictor)
 		dcfg := cfg.DRAM
 		rinse := policy.NewRowRinser(dcfg.RowID, cfg.RinserRows)
-		l2 := buildL2(cfg, v, 0, 1, sims.mem[0], dir, pred, rinse)
+		l2 := buildL2(cfg, v, 0, 1, sim, dir, pred, rinse)
 		l1s := make([]*cache.Cache, cfg.GPU.CUs)
 		for i := range l1s {
-			l1s[i] = buildL1(cfg, v, i, sims.front, l2)
+			l1s[i] = buildL1(cfg, v, i, sim, l2)
 		}
 		h.tiles[0] = Tile{L1s: l1s, L2: l2, DRAM: dctl, Predictor: pred, Rinser: rinse}
 		h.l1s = l1s
@@ -134,7 +103,7 @@ func buildHierarchy(cfg *Config, v Variant, sims hierarchySims) *hierarchy {
 	}
 
 	nodes, edges := noc.Graph(topo.Kind, tiles)
-	net, err := noc.NewNetwork(nodes, edges, topo.Link, sims.hub)
+	net, err := noc.NewNetwork(nodes, edges, topo.Link, sim)
 	if err != nil {
 		// Validate accepted the config and Graph only emits connected
 		// shapes, so failing here is an internal wiring error.
@@ -148,7 +117,7 @@ func buildHierarchy(cfg *Config, v Variant, sims hierarchySims) *hierarchy {
 	// interleave: HomeLines consecutive cache lines per tile.
 	memPorts := make([]cache.Port, tiles)
 	for t := 0; t < tiles; t++ {
-		dctl := dram.New(cfg.DRAM, sims.mem[t])
+		dctl := dram.New(cfg.DRAM, sim)
 		h.tiles[t].DRAM = dctl
 		memPorts[t] = net.Connect(hub, t, dctl)
 	}
@@ -158,7 +127,7 @@ func buildHierarchy(cfg *Config, v Variant, sims hierarchySims) *hierarchy {
 		t := int((mem.LineIndex(req.Line) >> homeShift) & homeMask)
 		memPorts[t].Submit(req)
 	})
-	h.dir = coherence.NewDirectory(sims.hub, home, cfg.DirectoryLatency)
+	h.dir = coherence.NewDirectory(sim, home, cfg.DirectoryLatency)
 
 	cpt := cfg.GPU.CUs / tiles
 	h.l1s = make([]*cache.Cache, cfg.GPU.CUs)
@@ -166,14 +135,14 @@ func buildHierarchy(cfg *Config, v Variant, sims hierarchySims) *hierarchy {
 		pred := policy.NewPCPredictor(cfg.Predictor)
 		dcfg := cfg.DRAM
 		rinse := policy.NewRowRinser(dcfg.RowID, cfg.RinserRows)
-		l2 := buildL2(cfg, v, t, tiles, sims.mem[t], net.Connect(t, hub, h.dir), pred, rinse)
+		l2 := buildL2(cfg, v, t, tiles, sim, net.Connect(t, hub, h.dir), pred, rinse)
 		l1s := make([]*cache.Cache, cpt)
 		for i := range l1s {
 			cu := t*cpt + i
 			// L1→L2 stays on tile: a same-node Connect lowers to the
 			// direct port, keeping the intra-tile hand-off zero-cost
 			// while still going through the one link interface.
-			l1s[i] = buildL1(cfg, v, cu, sims.front, net.Connect(t, t, l2))
+			l1s[i] = buildL1(cfg, v, cu, sim, net.Connect(t, t, l2))
 			h.l1s[cu] = l1s[i]
 		}
 		h.tiles[t].L1s = l1s
@@ -188,49 +157,11 @@ func buildHierarchy(cfg *Config, v Variant, sims hierarchySims) *hierarchy {
 // configuration returns an error (it usually comes from user input);
 // internal wiring errors panic.
 func NewSystem(cfg Config, v Variant) (*System, error) {
-	return NewSystemWorkers(cfg, v, 1)
-}
-
-// NewSystemWorkers is NewSystem with an intra-cell worker count.
-// cellWorkers <= 1 builds the standard sequential system. Larger counts
-// build a partitioned system: the GPU front end (CU shards, L1s,
-// coherence engine), each tile's memory side (L2 slice, HBM stack), and
-// the interconnect+directory hub each schedule on their own member of
-// one event.SimGroup, and runs rotate execution across cellWorkers
-// goroutines in windows sized by the minimum declared cut-edge latency
-// (see Lookahead). Results are byte-identical to the sequential system
-// for any worker count — the group fires events in exact global
-// (cycle, sequence) order — which the partition differential tests pin.
-func NewSystemWorkers(cfg Config, v Variant, cellWorkers int) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cellWorkers > MaxCellWorkers {
-		return nil, fmt.Errorf("core: cell workers must be in [1, %d], got %d", MaxCellWorkers, cellWorkers)
-	}
-	tiles := cfg.Topology.WithDefaults().Tiles
-	var sims hierarchySims
-	var group *event.SimGroup
-	if cellWorkers > 1 {
-		// Partition layout: member 0 is the GPU front end, members
-		// 1..tiles the per-tile memory sides, the last member the
-		// directory+NoC hub (folded into the memory member when there
-		// is only one tile and no network).
-		if tiles == 1 {
-			group = event.NewGroup(2)
-			ms := group.Sims()
-			sims = hierarchySims{front: ms[0], mem: ms[1:2], hub: ms[1]}
-		} else {
-			group = event.NewGroup(tiles + 2)
-			ms := group.Sims()
-			sims = hierarchySims{front: ms[0], mem: ms[1 : 1+tiles], hub: ms[1+tiles]}
-		}
-	} else {
-		cellWorkers = 1
-		sims = singleSims(event.New(), tiles)
-	}
-	sim := sims.front
-	h := buildHierarchy(&cfg, v, sims)
+	sim := event.New()
+	h := buildHierarchy(&cfg, v, sim)
 
 	ports := make([]cache.Port, len(h.l1s))
 	for i, l1 := range h.l1s {
@@ -253,14 +184,11 @@ func NewSystemWorkers(cfg Config, v Variant, cellWorkers int) (*System, error) {
 
 	sys := &System{
 		Cfg: cfg, Variant: v,
-		Sim: sim, Group: group, CellWorkers: cellWorkers, GPU: g,
+		Sim: sim, GPU: g,
 		Tiles: h.tiles, Net: h.net,
 		L1s: h.l1s, L2: h.tiles[0].L2,
 		DRAM: h.tiles[0].DRAM, Directory: h.dir, Engine: eng,
 		Predictor: h.tiles[0].Predictor, Rinser: h.tiles[0].Rinser,
-	}
-	if group != nil {
-		sys.window = derivedWindow(sys)
 	}
 	return sys, nil
 }
@@ -278,11 +206,7 @@ func NewSystemWorkers(cfg Config, v Variant, cellWorkers int) (*System, error) {
 // in-flight work (pooled objects still in flight are abandoned to the
 // garbage collector, never double-recycled).
 func (s *System) Reset() {
-	if s.Group != nil {
-		s.Group.Reset() // resets every member engine, Sim included
-	} else {
-		s.Sim.Reset()
-	}
+	s.Sim.Reset()
 	s.GPU.Reset()
 	for ti := range s.Tiles {
 		t := &s.Tiles[ti]
@@ -318,7 +242,7 @@ func (s *System) Run(w workloads.Workload) (stats.Snapshot, error) {
 func (s *System) Snapshot(w workloads.Workload) stats.Snapshot {
 	gs := s.GPU.Stats()
 	snap := stats.Snapshot{
-		Cycles:         uint64(s.clockNow()),
+		Cycles:         uint64(s.Sim.Now()),
 		VectorOps:      gs.VectorOps,
 		GPUMemRequests: gs.MemRequests,
 		Kernels:        gs.KernelsRun,
@@ -399,14 +323,7 @@ func RunOne(cfg Config, v Variant, spec workloads.Spec, scale workloads.Scale) (
 // CLI's -workload mode, the micached request path) get cancellation and
 // budget enforcement without going through the matrix harness.
 func RunOneWith(cfg Config, v Variant, spec workloads.Spec, scale workloads.Scale, b Budgets) (Result, error) {
-	return RunOneWorkers(cfg, v, spec, scale, b, 1)
-}
-
-// RunOneWorkers is RunOneWith with an explicit intra-cell worker count
-// (see NewSystemWorkers); cellWorkers <= 1 is exactly RunOneWith, and
-// any count produces byte-identical results.
-func RunOneWorkers(cfg Config, v Variant, spec workloads.Spec, scale workloads.Scale, b Budgets, cellWorkers int) (Result, error) {
-	sys, err := NewSystemWorkers(cfg, v, cellWorkers)
+	sys, err := NewSystem(cfg, v)
 	if err != nil {
 		return Result{}, err
 	}
@@ -468,12 +385,6 @@ type RunMatrixOpts struct {
 	// CellTimeout, if non-zero, bounds each cell's wall-clock time the
 	// same way.
 	CellTimeout time.Duration
-	// CellWorkers, if > 1, runs every cell on a partitioned system with
-	// that many intra-cell workers (see NewSystemWorkers). Cell results
-	// are byte-identical for any value. 0 and 1 both mean sequential
-	// cells. A caller-supplied Pool must have been built with the same
-	// cell-worker count (NewSystemPoolWorkers).
-	CellWorkers int
 	// Lookup, if non-nil, is consulted before each cell simulates.
 	// Returning ok=true serves the cell from the returned snapshot —
 	// no pool Get, no simulation — which is how a serving layer makes
@@ -488,14 +399,6 @@ type RunMatrixOpts struct {
 	// lacks, so streaming consumers (SSE) can narrate the sweep. Calls
 	// are serialized, like Progress, and share its ordering.
 	OnCell func(r Result, cached bool, done, total int)
-}
-
-// cellWorkers resolves the per-cell worker count these options request.
-func (o RunMatrixOpts) cellWorkers() int {
-	if o.CellWorkers > 1 {
-		return o.CellWorkers
-	}
-	return 1
 }
 
 // budgets assembles the per-cell Budgets these options request.
@@ -528,18 +431,6 @@ func RunMatrix(cfg Config, vs []Variant, specs []workloads.Spec, scale workloads
 	return RunMatrixWith(cfg, vs, specs, scale, RunMatrixOpts{})
 }
 
-// RunMatrixWith is RunMatrix with explicit options. Each matrix cell
-// runs on a pooled System that is observably identical to a fresh cold
-// one (see System.Reset), so cells are independent and run in parallel;
-// results are returned in the same deterministic spec-major order and
-// with identical content regardless of worker count or pooling, and the
-// first error in cell order is returned, matching the sequential path.
-// A deadlocked cell returns *ErrDeadlock and an over-budget or canceled
-// cell *ErrBudgetExceeded (see RunMatrixOpts.Ctx/MaxEventsPerCell/
-// CellTimeout), both reachable through errors.As on the returned error.
-// A panic inside a cell (an internal wiring error) is re-raised on the
-// calling goroutine wrapped in CellPanic, naming the (workload, variant)
-// cell it came from.
 // wrapCellErr labels a cell error with its (workload, variant) unless
 // the error already carries that identity — budget and deadlock errors
 // name their cell, and double-prefixing them makes the CLI output read
@@ -566,6 +457,18 @@ func lookupCell(lookup func(workloads.Spec, Variant) (stats.Snapshot, bool), spe
 	return Result{Workload: spec.Name, Class: spec.Class, Variant: v.Label, Snap: snap}, true
 }
 
+// RunMatrixWith is RunMatrix with explicit options. Each matrix cell
+// runs on a pooled System that is observably identical to a fresh cold
+// one (see System.Reset), so cells are independent and run in parallel;
+// results are returned in the same deterministic spec-major order and
+// with identical content regardless of worker count or pooling, and the
+// first error in cell order is returned, matching the sequential path.
+// A deadlocked cell returns *ErrDeadlock and an over-budget or canceled
+// cell *ErrBudgetExceeded (see RunMatrixOpts.Ctx/MaxEventsPerCell/
+// CellTimeout), both reachable through errors.As on the returned error.
+// A panic inside a cell (an internal wiring error) is re-raised on the
+// calling goroutine wrapped in CellPanic, naming the (workload, variant)
+// cell it came from.
 func RunMatrixWith(cfg Config, vs []Variant, specs []workloads.Spec, scale workloads.Scale, opts RunMatrixOpts) ([]Result, error) {
 	type cell struct {
 		spec workloads.Spec
@@ -581,12 +484,9 @@ func RunMatrixWith(cfg Config, vs []Variant, specs []workloads.Spec, scale workl
 
 	pool := opts.Pool
 	if pool == nil {
-		pool = NewSystemPoolWorkers(cfg, opts.cellWorkers())
+		pool = NewSystemPool(cfg)
 	} else if pool.cfg != cfg {
 		return nil, fmt.Errorf("core: RunMatrixWith pool was built for a different Config")
-	} else if pool.cellWorkers != opts.cellWorkers() {
-		return nil, fmt.Errorf("core: RunMatrixWith pool was built for %d cell workers, options request %d",
-			pool.cellWorkers, opts.cellWorkers())
 	}
 
 	workers := opts.EffectiveWorkers()

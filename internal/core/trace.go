@@ -63,7 +63,7 @@ func NewMemorySystem(cfg Config, v Variant) (*MemorySystem, error) {
 		return nil, err
 	}
 	sim := event.New()
-	h := buildHierarchy(&cfg, v, singleSims(sim, cfg.Topology.WithDefaults().Tiles))
+	h := buildHierarchy(&cfg, v, sim)
 	return &MemorySystem{
 		Sim: sim, Tiles: h.tiles, Net: h.net, L1s: h.l1s,
 		L2: h.tiles[0].L2, DRAM: h.tiles[0].DRAM, Directory: h.dir,

@@ -142,22 +142,6 @@ type Sim struct {
 
 	maxLen int
 
-	// Keyed (group) mode — see SimGroup. shared, when non-nil, links
-	// this wheel into a partition group sharing one global sequence
-	// counter: every scheduled event is stamped with the group-wide
-	// sequence number, wheelSeq mirrors the wheel buckets with those
-	// numbers, and the group scheduler merges the member wheels in
-	// exact global (cycle, sequence) order. A plain Sim leaves all of
-	// this nil and pays only a nil check in At and finalizeBucket.
-	shared   *SimGroup
-	wheelSeq *[int(WheelSpan)][]uint64
-	// fcycle/fseq cache the key of the next pending event (the sim's
-	// frontier) so the group's per-event merge does not rescan the
-	// occupancy bitmap. fvalid false means "recompute on next query".
-	fcycle Cycle
-	fseq   uint64
-	fvalid bool
-
 	// stop, when non-nil, is the cooperative stop condition: polled once
 	// per bucket drain (and at cascade-compaction points, so unbounded
 	// same-cycle cascades stay interruptible). When it returns true the
@@ -237,10 +221,6 @@ func (s *Sim) At(t Cycle, fn Func) {
 	}
 	if fn == nil {
 		panic("event: nil event func")
-	}
-	if s.shared != nil {
-		s.atKeyed(t, fn)
-		return
 	}
 	if !s.wheelReady {
 		s.initWheel()
@@ -335,9 +315,6 @@ func (s *Sim) refill() {
 		it := s.popOverflow()
 		b := int(it.at) & wheelMask
 		s.wheel[b] = append(s.wheel[b], it.fn)
-		if s.wheelSeq != nil {
-			s.wheelSeq[b] = append(s.wheelSeq[b], it.seq)
-		}
 		s.occ[b>>6] |= 1 << (uint(b) & 63)
 		s.wheelLive++
 	}
@@ -349,9 +326,6 @@ func (s *Sim) refill() {
 func (s *Sim) finalizeBucket(b int) {
 	if len(s.wheel[b]) > 0 {
 		s.wheel[b] = s.wheel[b][:0]
-	}
-	if s.wheelSeq != nil && len(s.wheelSeq[b]) > 0 {
-		s.wheelSeq[b] = s.wheelSeq[b][:0]
 	}
 	s.head = 0
 	s.occ[b>>6] &^= 1 << (uint(b) & 63)
@@ -443,7 +417,6 @@ func (s *Sim) drainCurrent() {
 // Step executes the next event, if any, advancing the clock to its time.
 // It reports whether an event was executed.
 func (s *Sim) Step() bool {
-	s.checkKeyed()
 	b := int(s.now) & wheelMask
 	if s.head >= len(s.wheel[b]) {
 		s.finalizeBucket(b)
@@ -472,7 +445,6 @@ func (s *Sim) Step() bool {
 // it. A stopped engine may be Run again (resuming where it stopped) or
 // Reset.
 func (s *Sim) Run() Cycle {
-	s.checkKeyed()
 	s.stopped = false
 	for {
 		s.drainCurrent()
@@ -494,7 +466,6 @@ func (s *Sim) Run() Cycle {
 // (SetStop) interrupts RunUntil exactly as it does Run; a stopped
 // RunUntil reports false without advancing the clock to limit.
 func (s *Sim) RunUntil(limit Cycle) bool {
-	s.checkKeyed()
 	s.stopped = false
 	if s.now <= limit {
 		for {
@@ -571,16 +542,4 @@ func (s *Sim) Reset() {
 	// run by the harness, never inherited across a Reset.
 	s.stop = nil
 	s.stopped = false
-	// Keyed mode: drop the pending sequence numbers alongside their
-	// callbacks (capacity kept) and invalidate the frontier cache. The
-	// shared group counter is reset by SimGroup.Reset, which resets all
-	// member sims together.
-	if s.wheelSeq != nil {
-		for i := range s.wheelSeq {
-			if len(s.wheelSeq[i]) > 0 {
-				s.wheelSeq[i] = s.wheelSeq[i][:0]
-			}
-		}
-	}
-	s.fvalid = false
 }

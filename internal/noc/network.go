@@ -187,10 +187,6 @@ type Network struct {
 	// toward dst (-1 on the diagonal).
 	next  []int32
 	paths []*Path
-	// minPath is the smallest one-way latency among the cross-node
-	// paths built so far (0 until the first Connect crosses nodes);
-	// same-node connections are direct hand-offs and do not count.
-	minPath event.Cycle
 }
 
 // NewNetwork builds the links of a topology graph and its routing
@@ -279,17 +275,8 @@ func (n *Network) Connect(src, dst int, sink cache.Port) cache.Port {
 		at = l.dst
 	}
 	n.paths = append(n.paths, p)
-	if n.minPath == 0 || p.lat < n.minPath {
-		n.minPath = p.lat
-	}
 	return p
 }
-
-// MinPathLatency declares the minimum one-way latency across the
-// cross-node paths wired so far — the network's cut-edge latency bound
-// for partitioned execution (see core's partition builder). It is 0
-// until a cross-node Connect exists; callers must ignore a zero bound.
-func (n *Network) MinPathLatency() event.Cycle { return n.minPath }
 
 // Reset returns every link and path to its just-built state (in-flight
 // transfers dropped, counters zeroed, pools kept). Call together with
