@@ -118,3 +118,52 @@ func TestMSHRCoalescingReusesPools(t *testing.T) {
 		t.Fatalf("coalesced = %d, want %d", c.Stats.Coalesced, (waiters-1)*rounds)
 	}
 }
+
+// TestWaitListsAllocationFree pins the steady-state saturation paths at
+// zero allocations: loads parked on a full MSHR table, loads parked on a
+// set whose every way is pending, and stores waiting on a pending fill.
+// The wait lists are threaded through the parked transactions; a list
+// dequeued by reslicing reallocated on every later append.
+func TestWaitListsAllocationFree(t *testing.T) {
+	sim := event.New()
+	const sets = 4
+	c := New(Config{
+		Name: "sat", Sets: sets, Ways: 2,
+		HitLatency: 1, LookupLatency: 1, FillLatency: 1,
+		MSHRs: 4, BypassEntries: 8, PortsPerCycle: 4, StoreAllocate: true,
+	}, sim, &quietLower{sim: sim, lat: 20})
+	noop := func() {}
+	var reqs []*mem.Request
+	// Six lines per set in sets 0 and 1: two ways fill, the rest wait on
+	// the set, and once four fills are out, on the MSHRs. The round
+	// leaves each set holding its last two lines, so every round misses
+	// the same way.
+	for set := 0; set < 2; set++ {
+		for k := 0; k < 6; k++ {
+			line := mem.Addr((k*sets + set) * mem.LineSize)
+			reqs = append(reqs, &mem.Request{ID: uint64(len(reqs)), Line: line, Kind: mem.Load, Done: noop})
+		}
+	}
+	// A store to the first line of set 0 waits for that line's fill.
+	reqs = append(reqs, &mem.Request{ID: uint64(len(reqs)), Line: 0, Kind: mem.Store, Done: noop})
+	round := func() {
+		for _, r := range reqs {
+			c.Submit(r)
+		}
+		sim.Run()
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	allocs := testing.AllocsPerRun(100, round)
+	if allocs != 0 {
+		t.Fatalf("steady-state saturation allocates %v/op, want 0", allocs)
+	}
+	if s := c.Stats; s.StallAlloc == 0 || s.StallMSHR == 0 || s.StallLine == 0 {
+		t.Fatalf("wait lists not exercised: alloc %d, mshr %d, line %d stall cycles",
+			s.StallAlloc, s.StallMSHR, s.StallLine)
+	}
+	if c.PendingMisses() != 0 {
+		t.Fatalf("%d MSHRs leaked", c.PendingMisses())
+	}
+}

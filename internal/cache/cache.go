@@ -125,15 +125,25 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// line is one way's replacement and dirty state. Its tag and its
+// valid/pending state live in Cache.tags.
 type line struct {
-	tag    mem.Addr // line address
-	valid  bool
-	dirty  bool
-	busy   bool // fill pending
 	lru    uint64
 	pc     uint64 // PC that allocated the line (predictor training)
-	reused bool   // hit at least once since allocation
+	dirty  bool
+	reused bool // hit at least once since allocation
 }
+
+// A way's entry in Cache.tags is its line address with the way's state in
+// the two low bits, which line alignment leaves free. The zero entry is
+// an invalid way, so a fresh or cleared array needs no initialisation.
+const (
+	wayInvalid mem.Addr = 0 // the whole entry
+	wayValid   mem.Addr = 1 // line|wayValid: valid, hit-eligible
+	wayPending mem.Addr = 3 // line|wayPending: fill outstanding
+	wayState   mem.Addr = 3 // mask of the state bits
+	wayFilling mem.Addr = 2 // the state bit that tells pending from valid
+)
 
 // mshr tracks one outstanding fetch miss. Each carries its lower-level
 // fetch request with a permanently attached Done, so the steady-state
@@ -142,8 +152,9 @@ type mshr struct {
 	line    mem.Addr
 	set     int
 	way     int
-	waiters []*mem.Request
-	fetch   mem.Request // the fetch sent below; Done fills and recycles
+	waiters []*mem.Request // loads coalesced into the fill
+	stores  txnList        // stores waiting for the line to become valid
+	fetch   mem.Request    // the fetch sent below; Done fills and recycles
 }
 
 // bypassEntry tracks one outstanding bypassed load, with its forwarded
@@ -194,17 +205,52 @@ type txn struct {
 	// the same resource. chainSetIdx qualifies chainSet.
 	chain       chainKind
 	chainSetIdx int
+	next        *txn // successor on the txnList the txn is parked on
+}
+
+// txnList is a FIFO wait list threaded through txn.next: parking and
+// waking allocate nothing, and an empty list holds no storage.
+type txnList struct{ head, tail *txn }
+
+func (l *txnList) push(t *txn) {
+	if l.tail == nil {
+		l.head = t
+	} else {
+		l.tail.next = t
+	}
+	l.tail = t
+}
+
+// pop removes and returns the oldest txn, or nil when l is empty.
+func (l *txnList) pop() *txn {
+	t := l.head
+	if t != nil {
+		l.head, t.next = t.next, nil
+		if l.head == nil {
+			l.tail = nil
+		}
+	}
+	return t
 }
 
 // Cache is one set-associative cache instance attached to a lower-level
 // Port. It is not safe for concurrent use; the single-threaded event loop
 // drives it.
+//
+// Per-way state lives in three parallel arrays indexed set*Ways+way, each
+// one allocation per cache. tags holds what a lookup compares: a way's
+// line address tagged wayValid or wayPending, or wayInvalid. One scan of
+// a set's Ways tags (8 bytes each) finds both a hit and a pending fill to
+// coalesce into; fills then names that fill's MSHR, and lines holds the
+// replacement and dirty state the scan does not need.
 type Cache struct {
 	cfg   Config
 	sim   *event.Sim
 	lower Port
 
-	sets [][]line
+	tags  []mem.Addr
+	fills []*mshr // the way's outstanding fill while it is wayPending
+	lines []line
 	// setShift/setMask are the set-index extraction pair, stored per
 	// instance so the lookup geometry is self-contained on the Cache:
 	// the hot setOf is one shift plus one and. (setShift mirrors
@@ -213,7 +259,7 @@ type Cache struct {
 	setShift uint
 	setMask  mem.Addr
 	lruTick  uint64
-	mshrs    map[mem.Addr]*mshr
+	nMSHR    int // outstanding fills (non-nil fills entries)
 	bypasses map[mem.Addr]*bypassEntry
 
 	// port accounting: virtual lookup-slot sequencing. Slot s is
@@ -221,11 +267,10 @@ type Cache struct {
 	// directly at their slot's cycle instead of polling.
 	nextSlot uint64
 
-	// wait lists
-	setWaiters  map[int][]*txn      // blocked on allocation in a set
-	lineWaiters map[mem.Addr][]*txn // stores blocked on a pending fill of their line
-	mshrWaiters []*txn              // blocked on a free MSHR
-	bypWaiters  []*txn              // blocked on a free bypass entry
+	// wait lists (stores blocked on a pending fill wait on its mshr)
+	setWaiters  []txnList // blocked on allocation, indexed by set
+	mshrWaiters txnList   // blocked on a free MSHR
+	bypWaiters  txnList   // blocked on a free bypass entry
 
 	// free lists. The event loop is single-threaded, so plain slices
 	// recycle txn wrappers and cache-originated requests without locking;
@@ -261,20 +306,18 @@ func New(cfg Config, sim *event.Sim, lower Port) *Cache {
 	if sim == nil || lower == nil {
 		panic(fmt.Sprintf("cache %s: nil sim or lower level", cfg.Name))
 	}
+	n := cfg.Sets * cfg.Ways
 	c := &Cache{
-		cfg:         cfg,
-		sim:         sim,
-		lower:       lower,
-		sets:        make([][]line, cfg.Sets),
-		setShift:    mem.LineShift,
-		setMask:     mem.Addr(cfg.Sets - 1),
-		mshrs:       make(map[mem.Addr]*mshr),
-		bypasses:    make(map[mem.Addr]*bypassEntry),
-		setWaiters:  make(map[int][]*txn),
-		lineWaiters: make(map[mem.Addr][]*txn),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
+		cfg:        cfg,
+		sim:        sim,
+		lower:      lower,
+		tags:       make([]mem.Addr, n),
+		fills:      make([]*mshr, n),
+		lines:      make([]line, n),
+		setShift:   mem.LineShift,
+		setMask:    mem.Addr(cfg.Sets - 1),
+		bypasses:   make(map[mem.Addr]*bypassEntry),
+		setWaiters: make([]txnList, cfg.Sets),
 	}
 	c.fwdQ = event.NewQueue(sim, func(r *mem.Request) { c.lower.Submit(r) })
 	c.retryQ = event.NewQueue(sim, func(t *txn) { c.try(t) })
@@ -507,7 +550,7 @@ func (c *Cache) fireChain(t *txn) {
 			c.wakeSet(t.chainSetIdx)
 		}
 	case chainMSHR:
-		if len(c.mshrs) < c.cfg.MSHRs {
+		if c.nMSHR < c.cfg.MSHRs {
 			c.wakeMSHR()
 		}
 	case chainBypass:
@@ -537,11 +580,11 @@ func (c *Cache) park(t *txn, kind chainKind, set int) {
 	}
 	switch kind {
 	case chainSet:
-		c.setWaiters[set] = append(c.setWaiters[set], t)
+		c.setWaiters[set].push(t)
 	case chainMSHR:
-		c.mshrWaiters = append(c.mshrWaiters, t)
+		c.mshrWaiters.push(t)
 	case chainBypass:
-		c.bypWaiters = append(c.bypWaiters, t)
+		c.bypWaiters.push(t)
 	}
 }
 
@@ -549,12 +592,20 @@ func (c *Cache) park(t *txn, kind chainKind, set int) {
 func (c *Cache) tryCached(t *txn) {
 	req := t.req
 	set := c.setOf(req.Line)
-	ways := c.sets[set]
+	base := set * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	ways := c.lines[base : base+c.cfg.Ways]
 
-	// Hit?
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && !l.busy && l.tag == req.Line {
+	// Hit, or a pending fill of this line? A line holds at most one way,
+	// and clearing wayFilling maps both of its states (and no other
+	// line's, nor an invalid way) onto key.
+	key := req.Line | wayValid
+	for i, tag := range tags {
+		if tag&^wayFilling != key {
+			continue
+		}
+		if tag == key {
+			l := &ways[i]
 			c.unblock(t)
 			c.putTxn(t)
 			c.Stats.Hits++
@@ -567,16 +618,14 @@ func (c *Cache) tryCached(t *txn) {
 				}
 			}
 			if req.Kind == mem.Store {
-				c.markDirty(l)
+				c.markDirty(l, req.Line)
 			}
 			c.respond(req, c.cfg.HitLatency)
 			return
 		}
-	}
-
-	// Pending fill for this line? Coalesce loads; stores wait for the
-	// fill to complete (they need the line valid to merge into).
-	if m, ok := c.mshrs[req.Line]; ok {
+		// Pending fill: coalesce loads; stores wait for the fill to
+		// complete (they need the line valid to merge into).
+		m := c.fills[base+i]
 		if req.Kind == mem.Load {
 			c.unblock(t)
 			c.putTxn(t)
@@ -586,7 +635,7 @@ func (c *Cache) tryCached(t *txn) {
 		}
 		c.blockFor(t, causeLine)
 		c.fireChain(t) // waiting on a fill, not on the chained resource
-		c.lineWaiters[req.Line] = append(c.lineWaiters[req.Line], t)
+		m.stores.push(t)
 		return
 	}
 
@@ -595,27 +644,26 @@ func (c *Cache) tryCached(t *txn) {
 	// MSHR exhaustion waits; it is tracking-capacity pressure, not the
 	// blocking-allocation pathology, and converting here would discard
 	// reuse the allocation-bypass optimization means to preserve.
-	if req.Kind == mem.Load && len(c.mshrs) >= c.cfg.MSHRs {
+	if req.Kind == mem.Load && c.nMSHR >= c.cfg.MSHRs {
 		c.park(t, chainMSHR, 0)
 		return
 	}
 
 	// Find a victim way: prefer invalid, else least-recently-used
-	// non-busy way.
+	// non-pending way.
 	victim := -1
 	var bestLRU uint64
-	for i := range ways {
-		l := &ways[i]
-		if l.busy {
+	for i, tag := range tags {
+		if tag&wayState == wayPending {
 			continue
 		}
-		if !l.valid {
+		if tag == wayInvalid {
 			victim = i
 			break
 		}
-		if victim == -1 || l.lru < bestLRU {
+		if victim == -1 || ways[i].lru < bestLRU {
 			victim = i
-			bestLRU = l.lru
+			bestLRU = ways[i].lru
 		}
 	}
 	if victim == -1 {
@@ -631,18 +679,18 @@ func (c *Cache) tryCached(t *txn) {
 
 	c.unblock(t)
 	c.putTxn(t)
-	c.evict(set, victim)
+	c.evict(base + victim)
 	l := &ways[victim]
 	c.lruTick++
-	*l = line{tag: req.Line, lru: c.lruTick, pc: req.PC}
+	*l = line{lru: c.lruTick, pc: req.PC}
 
 	if req.Kind == mem.Store {
 		// Write-combining allocation: no fetch. The full line is
 		// considered written (the coalescer emits line-granularity
 		// stores).
 		c.Stats.Misses++
-		l.valid = true
-		c.markDirty(l)
+		tags[victim] = req.Line | wayValid
+		c.markDirty(l, req.Line)
 		c.respond(req, c.cfg.HitLatency)
 		c.wakeSet(set)
 		return
@@ -651,13 +699,14 @@ func (c *Cache) tryCached(t *txn) {
 	// Load miss: reserve the way, grab an MSHR, fetch below. The MSHR's
 	// embedded fetch request fills the miss from its pre-built Done.
 	c.Stats.Misses++
-	l.busy = true
+	tags[victim] = req.Line | wayPending
 	m := c.getMSHR()
 	m.line = req.Line
 	m.set = set
 	m.way = victim
 	m.waiters = append(m.waiters, req)
-	c.mshrs[req.Line] = m
+	c.fills[base+victim] = m
+	c.nMSHR++
 	m.fetch.ID = req.ID
 	m.fetch.PC = req.PC
 	m.fetch.Line = req.Line
@@ -670,11 +719,11 @@ func (c *Cache) tryCached(t *txn) {
 // fill completes an outstanding miss: the line becomes valid and all
 // coalesced waiters are answered.
 func (c *Cache) fill(m *mshr) {
-	delete(c.mshrs, m.line)
-	l := &c.sets[m.set][m.way]
-	if l.busy && l.tag == m.line {
-		l.busy = false
-		l.valid = true
+	i := m.set*c.cfg.Ways + m.way
+	c.fills[i] = nil
+	c.nMSHR--
+	if c.tags[i] == m.line|wayPending {
+		c.tags[i] = m.line | wayValid
 	}
 	for _, w := range m.waiters {
 		c.respond(w, c.cfg.FillLatency)
@@ -682,11 +731,8 @@ func (c *Cache) fill(m *mshr) {
 	// Stores that were waiting for this exact fill can all proceed
 	// (they will hit the now-valid line, or re-miss harmlessly if a
 	// chained allocator evicts it first).
-	if lw := c.lineWaiters[m.line]; len(lw) > 0 {
-		delete(c.lineWaiters, m.line)
-		for _, t := range lw {
-			c.retryQ.Push(1, t)
-		}
+	for t := m.stores.pop(); t != nil; t = m.stores.pop() {
+		c.retryQ.Push(1, t)
 	}
 	c.wakeSet(m.set)
 	c.wakeMSHR()
@@ -753,47 +799,48 @@ func (c *Cache) tryBypass(t *txn) {
 	c.fwdQ.Push(c.cfg.LookupLatency, &sf.fwd)
 }
 
-// markDirty sets the dirty bit and informs the rinser's dirty-block index.
-func (c *Cache) markDirty(l *line) {
+// markDirty sets the dirty bit of l, holding lineAddr, and informs the
+// rinser's dirty-block index.
+func (c *Cache) markDirty(l *line, lineAddr mem.Addr) {
 	if !l.dirty {
 		l.dirty = true
 		if c.cfg.Rinser != nil {
-			c.cfg.Rinser.OnDirty(l.tag)
+			c.cfg.Rinser.OnDirty(lineAddr)
 		}
 	}
 }
 
-// evict clears a victim way, writing back dirty data. With a rinser
-// attached, a dirty eviction also rinses every other dirty line in the
-// same DRAM row (they are written back but stay valid-clean).
-func (c *Cache) evict(set, way int) {
-	l := &c.sets[set][way]
-	if !l.valid {
+// evict clears victim way i (a set*Ways+way index), writing back dirty
+// data. With a rinser attached, a dirty eviction also rinses every other
+// dirty line in the same DRAM row (they are written back but stay
+// valid-clean).
+func (c *Cache) evict(i int) {
+	if c.tags[i]&wayState != wayValid {
 		return
 	}
+	tag := c.tags[i] &^ wayState
+	l := &c.lines[i]
 	if c.cfg.Predictor != nil {
 		c.cfg.Predictor.OnEvict(l.pc, l.reused)
 	}
 	if l.dirty {
-		c.writeback(l.tag)
+		c.writeback(tag)
 		if c.cfg.Rinser != nil {
-			c.cfg.Rinser.OnClean(l.tag)
-			for _, mate := range c.cfg.Rinser.RowMates(l.tag) {
+			c.cfg.Rinser.OnClean(tag)
+			for _, mate := range c.cfg.Rinser.RowMates(tag) {
 				c.rinse(mate)
 			}
 		}
 	}
-	l.valid = false
+	c.tags[i] = wayInvalid
 	l.dirty = false
 }
 
 // rinse writes back a still-resident dirty line and marks it clean.
 func (c *Cache) rinse(lineAddr mem.Addr) {
-	set := c.setOf(lineAddr)
-	ways := c.sets[set]
-	for i := range ways {
-		l := &ways[i]
-		if l.valid && l.dirty && l.tag == lineAddr {
+	base := c.setOf(lineAddr) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if l := &c.lines[i]; c.tags[i] == lineAddr|wayValid && l.dirty {
 			l.dirty = false
 			c.Stats.Rinses++
 			c.writeback(lineAddr)
@@ -839,15 +886,9 @@ func (c *Cache) respond(req *mem.Request, delay event.Cycle) {
 // re-blocking on the same set, the next waiter is woken if a way remains
 // allocatable.
 func (c *Cache) wakeSet(set int) {
-	ws := c.setWaiters[set]
-	if len(ws) == 0 {
+	t := c.setWaiters[set].pop()
+	if t == nil {
 		return
-	}
-	t := ws[0]
-	if len(ws) == 1 {
-		delete(c.setWaiters, set)
-	} else {
-		c.setWaiters[set] = ws[1:]
 	}
 	t.chain = chainSet
 	t.chainSetIdx = set
@@ -856,9 +897,9 @@ func (c *Cache) wakeSet(set int) {
 
 // setHasFreeWay reports whether any way in set could be allocated now.
 func (c *Cache) setHasFreeWay(set int) bool {
-	ways := c.sets[set]
-	for i := range ways {
-		if !ways[i].busy {
+	base := set * c.cfg.Ways
+	for _, tag := range c.tags[base : base+c.cfg.Ways] {
+		if tag&wayState != wayPending {
 			return true
 		}
 	}
@@ -868,11 +909,10 @@ func (c *Cache) setHasFreeWay(set int) bool {
 // wakeMSHR retries one transaction blocked on a free MSHR; the chain
 // continues when it resolves without consuming one.
 func (c *Cache) wakeMSHR() {
-	if len(c.mshrWaiters) == 0 {
+	t := c.mshrWaiters.pop()
+	if t == nil {
 		return
 	}
-	t := c.mshrWaiters[0]
-	c.mshrWaiters = c.mshrWaiters[1:]
 	t.chain = chainMSHR
 	c.retryQ.Push(1, t)
 }
@@ -880,11 +920,10 @@ func (c *Cache) wakeMSHR() {
 // wakeBypass retries one transaction blocked on a free bypass entry; the
 // chain continues when it resolves without consuming one.
 func (c *Cache) wakeBypass() {
-	if len(c.bypWaiters) == 0 {
+	t := c.bypWaiters.pop()
+	if t == nil {
 		return
 	}
-	t := c.bypWaiters[0]
-	c.bypWaiters = c.bypWaiters[1:]
 	t.chain = chainBypass
 	c.retryQ.Push(1, t)
 }
@@ -893,16 +932,13 @@ func (c *Cache) wakeBypass() {
 // self-invalidation at a kernel boundary. Dirty lines (combined stores
 // awaiting a system-scope flush) and pending fills are untouched.
 func (c *Cache) InvalidateClean() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && !l.busy && !l.dirty {
-				if c.cfg.Predictor != nil {
-					c.cfg.Predictor.OnEvict(l.pc, l.reused)
-				}
-				l.valid = false
-				c.Stats.Invalidates++
+	for i, tag := range c.tags {
+		if l := &c.lines[i]; tag&wayState == wayValid && !l.dirty {
+			if c.cfg.Predictor != nil {
+				c.cfg.Predictor.OnEvict(l.pc, l.reused)
 			}
+			c.tags[i] = wayInvalid
+			c.Stats.Invalidates++
 		}
 	}
 }
@@ -914,21 +950,19 @@ func (c *Cache) InvalidateClean() {
 // order, as a hardware flush walker would generate them.
 func (c *Cache) FlushDirty(done func()) {
 	lines := c.flushLines[:0]
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && !l.busy && l.dirty {
-				lines = append(lines, l.tag)
-				if c.cfg.Predictor != nil {
-					c.cfg.Predictor.OnEvict(l.pc, l.reused)
-				}
-				if c.cfg.Rinser != nil {
-					c.cfg.Rinser.OnClean(l.tag)
-				}
-				l.valid = false
-				l.dirty = false
-				c.Stats.Invalidates++
+	for i, tag := range c.tags {
+		if l := &c.lines[i]; tag&wayState == wayValid && l.dirty {
+			la := tag &^ wayState
+			lines = append(lines, la)
+			if c.cfg.Predictor != nil {
+				c.cfg.Predictor.OnEvict(l.pc, l.reused)
 			}
+			if c.cfg.Rinser != nil {
+				c.cfg.Rinser.OnClean(la)
+			}
+			c.tags[i] = wayInvalid
+			l.dirty = false
+			c.Stats.Invalidates++
 		}
 	}
 	c.flushLines = lines // keep the grown scratch for the next flush
@@ -968,12 +1002,9 @@ func (c *Cache) FlushDirty(done func()) {
 // harness's sanity checks).
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			l := &c.sets[s][w]
-			if l.valid && l.dirty {
-				n++
-			}
+	for i, tag := range c.tags {
+		if tag&wayState == wayValid && c.lines[i].dirty {
+			n++
 		}
 	}
 	return n
@@ -982,18 +1013,16 @@ func (c *Cache) DirtyLines() int {
 // ValidLines returns the number of valid lines.
 func (c *Cache) ValidLines() int {
 	n := 0
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid {
-				n++
-			}
+	for _, tag := range c.tags {
+		if tag&wayState == wayValid {
+			n++
 		}
 	}
 	return n
 }
 
 // PendingMisses returns the number of outstanding MSHRs (tests).
-func (c *Cache) PendingMisses() int { return len(c.mshrs) }
+func (c *Cache) PendingMisses() int { return c.nMSHR }
 
 // Reset returns the cache to the observable state of a freshly built
 // one: every line invalid, tracking structures and wait lists empty,
@@ -1003,23 +1032,27 @@ func (c *Cache) PendingMisses() int { return len(c.mshrs) }
 // together with the owning Sim's Reset; in-flight requests parked here
 // are dropped, their txn wrappers and tracking entries recycled.
 func (c *Cache) Reset() {
-	for s := range c.sets {
-		ways := c.sets[s]
-		for w := range ways {
-			ways[w] = line{}
-		}
-	}
+	clear(c.tags)
+	clear(c.lines)
 	c.lruTick = 0
 	c.nextSlot = 0
 	c.predSample = 0
 
-	for _, m := range c.mshrs {
+	for i, m := range c.fills {
+		if c.nMSHR == 0 {
+			break
+		}
+		if m == nil {
+			continue
+		}
+		c.dropWaiters(&m.stores)
 		clear(m.waiters) // release dropped waiter requests to the GC
 		m.waiters = m.waiters[:0]
 		m.fetch = mem.Request{Done: m.fetch.Done}
 		c.mshrFree = append(c.mshrFree, m)
+		c.fills[i] = nil
+		c.nMSHR--
 	}
-	clear(c.mshrs)
 	for _, e := range c.bypasses {
 		clear(e.waiters)
 		e.waiters = e.waiters[:0]
@@ -1028,29 +1061,21 @@ func (c *Cache) Reset() {
 	}
 	clear(c.bypasses)
 
-	for _, ts := range c.setWaiters {
-		for _, t := range ts {
-			c.putTxn(t)
-		}
+	for i := range c.setWaiters {
+		c.dropWaiters(&c.setWaiters[i])
 	}
-	clear(c.setWaiters)
-	for _, ts := range c.lineWaiters {
-		for _, t := range ts {
-			c.putTxn(t)
-		}
-	}
-	clear(c.lineWaiters)
-	for _, t := range c.mshrWaiters {
-		c.putTxn(t)
-	}
-	c.mshrWaiters = c.mshrWaiters[:0]
-	for _, t := range c.bypWaiters {
-		c.putTxn(t)
-	}
-	c.bypWaiters = c.bypWaiters[:0]
+	c.dropWaiters(&c.mshrWaiters)
+	c.dropWaiters(&c.bypWaiters)
 
 	c.fwdQ.Reset()
 	c.retryQ.Reset()
 	c.accQ.Reset()
 	c.Stats = stats.CacheStats{}
+}
+
+// dropWaiters empties a wait list, recycling its transactions.
+func (c *Cache) dropWaiters(ws *txnList) {
+	for t := ws.pop(); t != nil; t = ws.pop() {
+		c.putTxn(t)
+	}
 }

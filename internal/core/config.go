@@ -124,6 +124,13 @@ func (c *Config) Validate() error {
 	if c.L2Banks <= 0 || c.L2Banks&(c.L2Banks-1) != 0 {
 		return fmt.Errorf("core: L2Banks must be a positive power of two, got %d", c.L2Banks)
 	}
+	// Sets divides by Ways, so check both levels' Ways first.
+	if c.L1.Ways <= 0 {
+		return fmt.Errorf("core: L1 Ways must be positive, got %d", c.L1.Ways)
+	}
+	if c.L2.Ways <= 0 {
+		return fmt.Errorf("core: L2 Ways must be positive, got %d", c.L2.Ways)
+	}
 	if c.L1.Sets(1) <= 0 {
 		return fmt.Errorf("core: L1 geometry yields no sets")
 	}

@@ -43,6 +43,19 @@ func TestConfigValidateCatchesErrors(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("empty L1 accepted")
 	}
+	// Zero Ways used to panic with a divide by zero in CacheGeom.Sets.
+	for _, level := range []string{"L1", "L2"} {
+		bad = DefaultConfig()
+		geom := &bad.L1
+		if level == "L2" {
+			geom = &bad.L2
+		}
+		geom.Ways = 0
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), level+" Ways") {
+			t.Fatalf("zero %s ways: Validate() = %v, want an error naming %s Ways", level, err, level)
+		}
+	}
 	// The GPU sub-config is validated through the system config, so user
 	// input (micache -cus) errors instead of panicking in gpu.New.
 	bad = DefaultConfig()

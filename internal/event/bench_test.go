@@ -133,3 +133,37 @@ func benchMixed(eng engine, n int, b *testing.B) {
 	}
 	eng.Run()
 }
+
+// BenchmarkQueue pins Queue's push→deliver cost on each of its two
+// structures. in-order: every delivery re-pushes with a fixed delay, as
+// the caches' forward and retry queues do, so every entry rides the
+// in-order lane. mixed: re-push delays vary, so most entries land
+// before the lane's tail and take the heap. Both must report 0
+// allocs/op.
+func BenchmarkQueue(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		delay func(n int) Cycle
+	}{
+		{"in-order", func(int) Cycle { return 15 }},
+		{"mixed", func(n int) Cycle { return Cycle(n%13 + 1) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			const fan = 64
+			s := New()
+			n := 0
+			var q *Queue[int]
+			q = NewQueue(s, func(v int) {
+				n++
+				if n <= b.N-fan {
+					q.Push(tc.delay(n), v)
+				}
+			})
+			b.ReportAllocs()
+			for i := 0; i < fan && i < b.N; i++ {
+				q.Push(tc.delay(i), i)
+			}
+			s.Run()
+		})
+	}
+}

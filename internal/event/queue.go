@@ -8,10 +8,11 @@ package event
 //
 // Two primitives are provided:
 //
-//   - Queue[T]: a min-heap of (time, value) entries drained by one
-//     pre-armed event. Replaces per-request submit closures in the GPU
-//     coalescer, the caches' lower-level forwards and retry wake-ups,
-//     and the coherence directory hop.
+//   - Queue[T]: (time, value) entries drained by one pre-armed event,
+//     held in an in-order FIFO lane with a min-heap beside it for
+//     out-of-order pushes. Replaces per-request submit closures in the
+//     GPU coalescer, the caches' lower-level forwards and retry
+//     wake-ups, and the coherence directory hop.
 //   - Ticker: a single re-armable callback. Replaces the per-call tick
 //     closures (and generation-counter supersession) in the DRAM
 //     controller and the SIMD front end.
@@ -33,7 +34,7 @@ type qentry[T any] struct {
 	v   T
 }
 
-func (a qentry[T]) less(b qentry[T]) bool {
+func (a *qentry[T]) less(b *qentry[T]) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -44,13 +45,21 @@ func (a qentry[T]) less(b qentry[T]) bool {
 // within a cycle, without allocating per delivery. One drain event at a
 // time is usually armed; see the package comment on the arming stack.
 //
+// Entries live in two structures, each ordered by (at, seq): an in-order
+// lane, which takes every push due at or after the lane's tail, and a
+// min-heap, which takes the rest. Most producers push with a fixed delay
+// or at monotone port slots, so their entries never touch the heap; the
+// drain delivers whichever head is earlier, which is exactly the order
+// one heap over every entry would give.
+//
 // deliver runs inside the queue's drain event and may push further
 // entries onto the same queue (they are delivered in this drain if due,
 // later otherwise).
 type Queue[T any] struct {
 	sim     *Sim
 	deliver func(T)
-	entries []qentry[T] // min-heap by (at, seq)
+	lane    ring[qentry[T]] // pushes due at or after the lane's tail
+	heap    []qentry[T]     // min-heap by (at, seq): every other push
 	seq     uint64
 	ticker  *Ticker // arms the drain for the earliest due entry
 }
@@ -78,65 +87,85 @@ func (q *Queue[T]) PushAt(t Cycle, v T) {
 		t = now
 	}
 	q.seq++
-	q.entries = append(q.entries, qentry[T]{at: t, seq: q.seq, v: v})
-	q.siftUp(len(q.entries) - 1)
+	e := qentry[T]{at: t, seq: q.seq, v: v}
+	if q.lane.n == 0 || q.lane.back().at <= t {
+		q.lane.push(e)
+	} else {
+		q.heap = append(q.heap, e)
+		q.siftUp(len(q.heap) - 1)
+	}
 	q.ticker.ArmAt(t)
 }
 
 // Len returns the number of undelivered entries.
-func (q *Queue[T]) Len() int { return len(q.entries) }
+func (q *Queue[T]) Len() int { return q.lane.n + len(q.heap) }
 
 // Armed reports whether a drain fire is scheduled that will deliver.
 func (q *Queue[T]) Armed() bool { return q.ticker.Armed() }
 
 // Disarm drops every undelivered entry and silences the outstanding
-// drain fires (see Ticker.Disarm), keeping the entry buffer's capacity.
+// drain fires (see Ticker.Disarm), keeping the entry buffers' capacity.
 // Unlike Reset it is safe while the owning Sim still holds the drain
 // events: they fire as no-ops. Idle components (an empty GPU front-end
 // shard) use it to shed pending work without event cancellation; a
 // later Push re-arms normally.
 func (q *Queue[T]) Disarm() {
-	var zero T
-	for i := range q.entries {
-		q.entries[i].v = zero // release values so they can be collected
-	}
-	q.entries = q.entries[:0]
+	q.clear()
 	q.ticker.Disarm()
 }
 
 // Reset drops every undelivered entry and the ticker's arming state,
-// keeping the entry buffer's capacity. Call it together with the owning
+// keeping the entry buffers' capacity. Call it together with the owning
 // Sim's Reset: the drain events already scheduled there are assumed gone.
 func (q *Queue[T]) Reset() {
-	var zero T
-	for i := range q.entries {
-		q.entries[i].v = zero // release values so they can be collected
-	}
-	q.entries = q.entries[:0]
+	q.clear()
 	q.seq = 0
 	q.ticker.Reset()
+}
+
+// clear empties both structures, releasing their values to the GC.
+func (q *Queue[T]) clear() {
+	q.lane.drop()
+	clear(q.heap)
+	q.heap = q.heap[:0]
 }
 
 // drain is the ticker callback: it delivers every due entry in
 // (time, push-order) and re-arms for the earliest remaining entry.
 func (q *Queue[T]) drain() {
 	now := q.sim.Now()
-	for len(q.entries) > 0 && q.entries[0].at <= now {
-		v := q.pop()
-		q.deliver(v)
-	}
-	if len(q.entries) > 0 {
-		q.ticker.ArmAt(q.entries[0].at)
+	for {
+		var next *qentry[T]
+		fromLane := q.lane.n > 0
+		if fromLane {
+			next = q.lane.front()
+			if len(q.heap) > 0 && q.heap[0].less(next) {
+				next, fromLane = &q.heap[0], false
+			}
+		} else if len(q.heap) > 0 {
+			next = &q.heap[0]
+		} else {
+			return
+		}
+		if next.at > now {
+			q.ticker.ArmAt(next.at)
+			return
+		}
+		if fromLane {
+			q.deliver(q.lane.pop().v)
+		} else {
+			q.deliver(q.pop())
+		}
 	}
 }
 
 // siftUp restores the heap property after appending at index i.
 func (q *Queue[T]) siftUp(i int) {
-	e := q.entries
+	e := q.heap
 	it := e[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !it.less(e[parent]) {
+		if !it.less(&e[parent]) {
 			break
 		}
 		e[i] = e[parent]
@@ -145,16 +174,16 @@ func (q *Queue[T]) siftUp(i int) {
 	e[i] = it
 }
 
-// pop removes and returns the minimum entry's value. Caller checks
-// non-empty.
+// pop removes and returns the heap's minimum entry's value. Caller
+// checks non-empty.
 func (q *Queue[T]) pop() T {
-	e := q.entries
+	e := q.heap
 	top := e[0].v
 	n := len(e) - 1
 	it := e[n]
 	var zero T
 	e[n].v = zero // release the value so it can be collected
-	q.entries = e[:n]
+	q.heap = e[:n]
 	if n > 0 {
 		i := 0
 		for {
@@ -162,10 +191,10 @@ func (q *Queue[T]) pop() T {
 			if child >= n {
 				break
 			}
-			if right := child + 1; right < n && e[right].less(e[child]) {
+			if right := child + 1; right < n && e[right].less(&e[child]) {
 				child = right
 			}
-			if !e[child].less(it) {
+			if !e[child].less(&it) {
 				break
 			}
 			e[i] = e[child]
@@ -174,6 +203,50 @@ func (q *Queue[T]) pop() T {
 		e[i] = it
 	}
 	return top
+}
+
+// ring is a first-in, first-out queue that reuses its storage: once it
+// has grown to its working size, pushes and pops allocate nothing. The
+// zero value is empty.
+type ring[T any] struct {
+	buf  []T // power-of-two capacity, or nil
+	head int // index of the front entry
+	n    int // live entries
+}
+
+// push appends v at the back, doubling the ring when it is full.
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(8, 2*len(r.buf)))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// front and back return the oldest and the newest entry; valid only
+// while n > 0 and until the next push or pop.
+func (r *ring[T]) front() *T { return &r.buf[r.head] }
+func (r *ring[T]) back() *T  { return &r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
+// pop removes and returns the oldest entry. Caller checks n > 0.
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero // release the value so it can be collected
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
+// drop empties the ring, releasing its values and keeping its capacity.
+func (r *ring[T]) drop() {
+	for r.n > 0 {
+		r.pop()
+	}
+	r.head = 0
 }
 
 // Ticker re-arms a single callback without allocating per arm: ArmAt

@@ -98,25 +98,115 @@ func TestQueueSteadyStateNoAllocs(t *testing.T) {
 	s := New()
 	n := 0
 	q := NewQueue(s, func(v int) { n += v })
-	// Warm up the entry heap and arm stack.
+	// Warm up the lane, the heap and the arm stack.
 	for i := 0; i < 64; i++ {
 		q.Push(Cycle(i%7), 1)
 	}
 	s.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			q.Push(Cycle(i%5), 1)
+	for _, tc := range []struct {
+		name  string
+		delay func(i int) Cycle
+	}{
+		{"in-order", func(i int) Cycle { return Cycle(i / 4) }},
+		{"heap-fallback", func(i int) Cycle { return Cycle(31 - i) }},
+		{"mixed", func(i int) Cycle { return Cycle(i % 5) }},
+	} {
+		heapUsed := false
+		allocs := testing.AllocsPerRun(100, func() {
+			for i := 0; i < 32; i++ {
+				q.Push(tc.delay(i), 1)
+			}
+			heapUsed = heapUsed || len(q.heap) > 0
+			s.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state queue push/drain allocates %v/op, want 0", tc.name, allocs)
 		}
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state queue push/drain allocates %v/op, want 0", allocs)
+		if want := tc.name != "in-order"; heapUsed != want {
+			t.Errorf("%s: heap used = %v, want %v", tc.name, heapUsed, want)
+		}
 	}
+}
+
+// pushQueue is the surface the randomized differential drives on both
+// Queue and the heap-only reference (queueref_test.go).
+type pushQueue interface {
+	PushAt(t Cycle, v int)
+	Len() int
+	Disarm()
+	Reset()
+}
+
+// queueRec is one observation of a queue scenario: a delivery (v ≥ 0)
+// or a Len checkpoint (v = -1 - Len).
+type queueRec struct {
+	at Cycle
+	v  int
+}
+
+// runQueueScenario drives a seeded random mix of monotone runs,
+// out-of-order, same-cycle and clamped-past pushes (from outside and
+// from inside deliveries), partial runs, Disarms and paired
+// Queue/Sim Resets through the queue mk builds. It returns what was
+// observed and the total events the Sim fired.
+func runQueueScenario(seed int64, mk func(*Sim, func(int)) pushQueue) ([]queueRec, uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	s := New()
+	var log []queueRec
+	var q pushQueue
+	next := 0
+	// push makes one push of a randomly chosen shape.
+	push := func() {
+		now := s.Now()
+		var at Cycle
+		switch rng.Intn(6) {
+		case 0, 1: // extend a monotone run: the lane's fast path
+			at = now + Cycle(rng.Intn(4)) + 8
+		case 2: // out of order: usually lands before the lane's tail
+			at = now + Cycle(rng.Intn(12))
+		case 3: // same cycle
+			at = now
+		case 4: // in the past: clamped to now
+			at = now - min(now, Cycle(1+rng.Intn(5)))
+		default: // far ahead
+			at = now + Cycle(20+rng.Intn(40))
+		}
+		q.PushAt(at, next)
+		next++
+	}
+	q = mk(s, func(v int) {
+		log = append(log, queueRec{at: s.Now(), v: v})
+		if next < 3000 && rng.Intn(3) == 0 {
+			push()
+		}
+	})
+	var fired uint64
+	for step := 0; step < 200; step++ {
+		switch r := rng.Intn(20); {
+		case r < 12:
+			for k := rng.Intn(8); k >= 0; k-- {
+				push()
+			}
+		case r < 17:
+			s.RunUntil(s.Now() + Cycle(rng.Intn(16)))
+		case r < 19:
+			q.Disarm()
+		default:
+			q.Reset()
+			fired += s.Fired()
+			s.Reset()
+		}
+		log = append(log, queueRec{at: s.Now(), v: -1 - q.Len()})
+	}
+	s.Run()
+	log = append(log, queueRec{at: s.Now(), v: -1 - q.Len()})
+	return log, fired + s.Fired()
 }
 
 // TestQueueRandomizedMatchesSchedule cross-checks the queue against
 // plain per-entry scheduling under random pushes, including pushes from
-// inside deliveries.
+// inside deliveries, and against the heap-only reference Queue under
+// random push shapes, partial runs, Disarm and Reset.
 func TestQueueRandomizedMatchesSchedule(t *testing.T) {
 	type rec struct {
 		at Cycle
@@ -162,6 +252,49 @@ func TestQueueRandomizedMatchesSchedule(t *testing.T) {
 				t.Fatalf("trial %d: entry %d delivered at %d, want %d", trial, w.v, at, w.at)
 			}
 		}
+	}
+
+	var lanePushes, heapPushes int
+	for seed := int64(1); seed <= 40; seed++ {
+		got, gotFired := runQueueScenario(seed, func(s *Sim, deliver func(int)) pushQueue {
+			q := NewQueue(s, deliver)
+			return &laneCounter{Queue: q, lane: &lanePushes, heap: &heapPushes}
+		})
+		want, wantFired := runQueueScenario(seed, func(s *Sim, deliver func(int)) pushQueue {
+			return newHeapQueue(s, deliver)
+		})
+		if gotFired != wantFired {
+			t.Fatalf("seed %d: Sim fired %d events, heap reference %d", seed, gotFired, wantFired)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d observations, heap reference %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: observation %d = %+v, heap reference %+v", seed, i, got[i], want[i])
+			}
+		}
+	}
+	// Both paths must carry real traffic, or the differential proves
+	// nothing about one of them.
+	if lanePushes < 1000 || heapPushes < 1000 {
+		t.Fatalf("pushes: %d to the lane, %d to the heap; want ≥ 1000 each", lanePushes, heapPushes)
+	}
+}
+
+// laneCounter tallies which structure each Queue push landed in.
+type laneCounter struct {
+	*Queue[int]
+	lane, heap *int
+}
+
+func (c *laneCounter) PushAt(t Cycle, v int) {
+	h := len(c.Queue.heap)
+	c.Queue.PushAt(t, v)
+	if len(c.Queue.heap) > h {
+		*c.heap++
+	} else {
+		*c.lane++
 	}
 }
 

@@ -126,6 +126,10 @@ func (t *Trace) ReadFrom(r io.Reader) (int64, error) {
 			return 0, err
 		}
 		line = uint64(int64(line) + unzigzag(zl))
+		// The caches keep way state in a line address's low bits.
+		if la := mem.Addr(line); la != mem.LineAddr(la) {
+			return 0, fmt.Errorf("trace: event %d line %#x is not line-aligned", i, line)
+		}
 		pc, err := binary.ReadUvarint(br)
 		if err != nil {
 			return 0, err

@@ -66,6 +66,18 @@ func TestOutOfOrderRejected(t *testing.T) {
 	}
 }
 
+func TestUnalignedLineRejected(t *testing.T) {
+	tr := &Trace{Events: []Event{{Cycle: 1, Line: 0x1000}, {Cycle: 2, Line: 0x1001}}}
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back Trace
+	if _, err := back.ReadFrom(&buf); err == nil {
+		t.Fatal("trace with an unaligned line accepted")
+	}
+}
+
 // Property: any monotone trace round-trips exactly.
 func TestPropertyRoundTrip(t *testing.T) {
 	f := func(deltas []uint16, lines []uint32, pcs []uint16) bool {
